@@ -94,11 +94,7 @@ def test_whatif_accuracy(report):
             nodes=None if nodes == BASE_NODES else nodes,
             combiner=None if combiner else False,
         )
-        prediction = whatif_replay(
-            base_replay,
-            scenario,
-            task_startup_seconds=COST.task_startup_seconds,
-        )
+        prediction = whatif_replay(base_replay, scenario)
         actual_result, actual_replay = run_once(nodes, combiner)
         assert actual_result.k_found == base_result.k_found, (
             "scenario re-run found a different k — job chain is not "

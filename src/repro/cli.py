@@ -15,6 +15,7 @@
     python -m repro trace run.jsonl --follow
     python -m repro trace run.jsonl --format chrome --out run.trace.json
     python -m repro whatif run.jsonl --set num_workers=8 --set combiner=off
+    python -m repro whatif run.jsonl --set nodes=2,4,8 --set combiner=on,off
     python -m repro analyze run.jsonl
     python -m repro diff baseline.jsonl run.jsonl --max-time-regression 0.1
     python -m repro report runs/ --out-dir reports/
@@ -305,25 +306,31 @@ def _cmd_whatif(args) -> int:
 
     from repro.observability import (
         ScenarioError,
-        parse_scenario,
+        parse_grid,
         render_whatif,
+        render_whatif_grid,
         whatif_replay,
     )
 
     try:
-        scenario = parse_scenario(args.set or [])
+        scenarios = parse_grid(args.set or [])
     except ScenarioError as exc:
         print(f"bad --set: {exc}", file=sys.stderr)
         return 2
     replay = _load_replay(args.journal_path)
     if replay is None:
         return 1
-    report = whatif_replay(replay, scenario)
-    text = (
-        json.dumps(report.as_dict(), indent=2)
-        if args.json
-        else render_whatif(report)
-    )
+    reports = [whatif_replay(replay, scenario) for scenario in scenarios]
+    if len(reports) == 1:
+        payload = reports[0].as_dict()
+        text = render_whatif(reports[0])
+    else:
+        # A grid: ranked by predicted makespan, ties in grid order.
+        reports.sort(key=lambda report: report.predicted_total)
+        payload = [report.as_dict() for report in reports]
+        text = render_whatif_grid(reports)
+    if args.json:
+        text = json.dumps(payload, indent=2)
     print(text)
     _write_out(text, args.out)
     return 0
@@ -441,91 +448,6 @@ def _cmd_ablate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_tune(args) -> int:
-    import json
-
-    from repro.observability.tune import (
-        TuneError,
-        TuneSpace,
-        default_tune_spec,
-        load_tune,
-        load_tuned_config,
-        render_tune,
-        run_tune,
-        verify_tune,
-        write_tune,
-    )
-
-    if args.check:
-        report_path = os.path.join(args.out_dir, f"{args.basename}.json")
-        best_path = os.path.join(args.out_dir, "best-config.json")
-        try:
-            report = load_tune(report_path)
-            best = (
-                load_tuned_config(best_path)
-                if os.path.exists(best_path)
-                else None
-            )
-        except (OSError, TuneError, ValueError) as exc:
-            print(f"cannot load tune report: {exc}", file=sys.stderr)
-            return 2
-        problems = verify_tune(report, best_config=best)
-        if problems:
-            for problem in problems:
-                print(f"FAIL {problem}")
-            return 1
-        print(
-            f"{report_path}: predictions and validations reconcile exactly "
-            f"({len(report['predictions'])} candidates, "
-            f"{len(report['validated'])} validated)"
-        )
-        return 0
-
-    spec = default_tune_spec(n_points=args.points, seed=args.seed)
-    journal_dir = args.journal_dir or os.path.join(args.out_dir, "tune")
-    try:
-        report = run_tune(
-            spec,
-            TuneSpace(),
-            journal_dir=journal_dir,
-            top_n=args.top,
-            budget=args.budget,
-        )
-    except TuneError as exc:
-        print(f"tune failed: {exc}", file=sys.stderr)
-        return 2
-    written = write_tune(report, out_dir=args.out_dir, basename=args.basename)
-    text = (
-        json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.json
-        else render_tune(report)
-    )
-    print(text)
-    for kind, path in sorted(written.items()):
-        print(f"{kind}: {path}", file=sys.stderr)
-    if args.bench_json:
-        from repro.evaluation.benchjson import merge_bench_json
-
-        merge_bench_json(
-            args.bench_json,
-            "autotune",
-            workload=report.spec.as_dict(),
-            metrics={
-                "baseline_simulated_seconds": report.baseline_seconds,
-                "candidates": len(report.predictions),
-                "validated": len(report.validated),
-                "winner": report.winner.candidate.describe(),
-                "winner_simulated_seconds": report.winner.actual_seconds,
-                "winner_rel_error": report.winner.rel_error,
-                "improvement_fraction": report.improvement_fraction,
-                "error_budget": report.budget,
-                "within_budget": report.ok,
-            },
-        )
-        print(f"bench json: {args.bench_json}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _global_options() -> argparse.ArgumentParser:
     """The run-wide flags, accepted before *or* after the subcommand.
 
@@ -548,7 +470,7 @@ def _global_options() -> argparse.ArgumentParser:
         "--num-workers",
         type=int,
         metavar="N",
-        help="worker count for the threads/processes backends "
+        help="worker count for the processes backend "
         "(default: $REPRO_NUM_WORKERS or one per CPU)",
     )
     parent.add_argument(
@@ -796,8 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="KEY=VALUE",
         help="scenario knob, repeatable: nodes, num_workers, map_slots, "
-        "reduce_slots, combiner (on/off), split_factor, scheduler "
-        "(recorded/lpt) — e.g. --set num_workers=8 --set combiner=off",
+        "reduce_slots, combiner (on/off), scheduler (recorded/lpt) — e.g. "
+        "--set num_workers=8 --set combiner=off; comma lists span a grid "
+        "ranked by predicted makespan, e.g. --set nodes=2,4,8",
     )
     p_whatif.add_argument(
         "--json",
@@ -944,71 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge the importance summary into this BENCH_*.json",
     )
 
-    p_tune = sub.add_parser(
-        "tune",
-        help="search the joint config space by what-if prediction from "
-        "one baseline journal, validate the top-N for real, and emit "
-        "the winning config",
-        parents=[options],
-    )
-    p_tune.add_argument(
-        "--points",
-        type=int,
-        default=6000,
-        help="workload size in points (default: 6000)",
-    )
-    p_tune.add_argument(
-        "--seed", type=int, default=11, help="workload seed (default: 11)"
-    )
-    p_tune.add_argument(
-        "--top",
-        type=int,
-        default=3,
-        help="how many predicted winners to validate by real re-runs "
-        "(default: 3)",
-    )
-    p_tune.add_argument(
-        "--budget",
-        type=float,
-        default=0.02,
-        metavar="FRAC",
-        help="predicted-vs-actual relative makespan error budget for the "
-        "winner (default: 0.02, the bench_whatif_accuracy bound)",
-    )
-    p_tune.add_argument(
-        "--out-dir",
-        default="reports",
-        help="where tune.{md,json} and best-config.json land "
-        "(default: reports)",
-    )
-    p_tune.add_argument(
-        "--basename",
-        default="tune",
-        help="report file stem (default: tune)",
-    )
-    p_tune.add_argument(
-        "--journal-dir",
-        help="where baseline/validation/decision journals land "
-        "(default: <out-dir>/tune)",
-    )
-    p_tune.add_argument(
-        "--check",
-        action="store_true",
-        default=False,
-        help="verify the committed tune report reconciles exactly with "
-        "its journals instead of re-tuning (exit 1 on drift)",
-    )
-    p_tune.add_argument(
-        "--json",
-        action="store_true",
-        default=False,
-        help="emit the machine-readable report instead of markdown",
-    )
-    p_tune.add_argument(
-        "--bench-json",
-        metavar="PATH",
-        help="merge the tune outcome into this BENCH_*.json",
-    )
     return parser
 
 
@@ -1050,7 +908,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "anomalies": _cmd_anomalies,
         "diff": _cmd_diff,
         "ablate": _cmd_ablate,
-        "tune": _cmd_tune,
     }
     from repro.common.errors import SLOViolationError
 

@@ -34,7 +34,7 @@ from repro.mapreduce.partitioners import (
     reduce_load_imbalance,
 )
 # The value lists these ablations sweep live in the declarative
-# component manifest shared with `repro ablate` / `repro tune`, so a
+# component manifest shared with `repro ablate`, so a
 # knob's variants are declared exactly once.
 from repro.observability.components import component_values
 

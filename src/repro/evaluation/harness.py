@@ -9,7 +9,7 @@ across tables and figures (and documented in one place).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,8 +91,9 @@ def build_world(
     backend and how record blocks reach its workers; left as ``None``
     they defer to ``REPRO_EXECUTOR``/``REPRO_NUM_WORKERS``/
     ``REPRO_DATA_PLANE`` (and ultimately to the serial, pickled
-    defaults). Backends and data planes never change results, only
-    wall-clock time.
+    defaults). Every other :class:`RuntimeConfig` field (job retries,
+    backoff) always comes from the environment. Backends and data
+    planes never change results, only wall-clock time.
     """
     split_bytes = target_split_bytes(
         mixture.n_points, mixture.dimensions, target_splits
@@ -105,16 +106,16 @@ def build_world(
         reduce_slots_per_node=reduce_slots_per_node,
         task_heap_mb=task_heap_mb,
     )
-    if executor is None and num_workers is None and data_plane is None:
-        config = None  # defer to REPRO_EXECUTOR / REPRO_NUM_WORKERS
-    else:
-        base = RuntimeConfig.from_env()
-        config = RuntimeConfig(
-            executor=executor or base.executor,
-            num_workers=num_workers if num_workers is not None else base.num_workers,
-            data_plane=data_plane if data_plane is not None else base.data_plane,
-            dispatch=base.dispatch,
+    overrides = {
+        name: value
+        for name, value in (
+            ("executor", executor),
+            ("num_workers", num_workers),
+            ("data_plane", data_plane),
         )
+        if value is not None
+    }
+    config = replace(RuntimeConfig.from_env(), **overrides)
     runtime = MapReduceRuntime(
         dfs,
         cluster=cluster,

@@ -17,9 +17,9 @@ Exact-reconciliation guarantee
 :attr:`CriticalPath.total_seconds` is computed with the *same float
 summation order* as
 :meth:`repro.observability.replay.RunReplay.total_simulated_seconds`
-(left-fold over restores, then left-fold over successful jobs), and
-the per-segment ``start``/``end`` placements are the intermediate
-partial sums of that very fold — so the critical-path length equals
+(one left fold over restores, then successful jobs), and the
+per-segment ``start``/``end`` placements are the intermediate partial
+sums of that very fold — so the critical-path length equals
 the journalled simulated makespan bit for bit, and every second of
 makespan is attributed to a named segment. The *blame* breakdown is a
 derived decomposition of each segment (categories below) whose sum
@@ -315,14 +315,12 @@ def critical_path(replay: RunReplay) -> CriticalPath:
         )
     retry_events = replay.events_named("job_retry")
     jobs: list[JobOnPath] = []
-    job_sum = 0.0
+    elapsed = restore_sum
     for job in replay.successful_jobs():
         seconds = float(job.get("simulated_seconds") or 0.0)
-        start = restore_sum + job_sum
-        job_sum = job_sum + seconds
-        jobs.append(
-            _job_on_path(job, start, restore_sum + job_sum, retry_events)
-        )
+        start = elapsed
+        elapsed = elapsed + seconds
+        jobs.append(_job_on_path(job, start, elapsed, retry_events))
     off_path = [
         OffPathAttempt(
             job=attempt.name,
@@ -338,13 +336,12 @@ def critical_path(replay: RunReplay) -> CriticalPath:
     for job in jobs:
         for category, seconds in job.blame.items():
             blame[category] += seconds
-    # The exact-reconciliation identity: same left-folds, same order,
-    # same final addition as RunReplay.total_simulated_seconds(),
-    # which goes through replay.left_fold_seconds — NOT builtin sum(),
-    # whose compensated summation on CPython 3.12+ diverges bitwise.
-    total_seconds = restore_sum + job_sum
+    # The exact-reconciliation identity: the same single left fold, in
+    # the same order, as RunReplay.total_simulated_seconds(), which goes
+    # through replay.left_fold_seconds — NOT builtin sum(), whose
+    # compensated summation on CPython 3.12+ diverges bitwise.
     return CriticalPath(
-        total_seconds=total_seconds,
+        total_seconds=elapsed,
         journal_seconds=replay.total_simulated_seconds(),
         restores=restores,
         jobs=jobs,

@@ -2,8 +2,9 @@
 
 The cost model *simulates* what a task costs on the paper's testbed;
 profiling measures what the task body actually costs *here* — wall
-seconds, CPU seconds (``time.thread_time``, so worker threads don't
-charge each other) and the ``tracemalloc`` peak of the task body.
+seconds, CPU seconds (``time.thread_time``, so other threads of the
+process — the live metrics server, say — don't charge the task) and the
+``tracemalloc`` peak of the task body.
 The runtime stamps the measurements onto the journal's task records,
 where ``repro analyze`` turns them into real memory numbers to audit
 the paper's 64-bytes-per-point Figure-2 heap model against.
@@ -25,9 +26,9 @@ prefix, so canonical journals stay byte-identical with profiling on or
 off.
 
 ``tracemalloc`` state is process-global, so memory-traced task bodies
-are serialised by a lock: under the ``threads`` backend the sampled
-tasks cost parallelism (CPU-only profiling does not take the lock;
-``processes`` workers trace independently).
+are serialised by a lock: runtimes driven from several threads of one
+process must not reset or stop each other's trace (CPU-only profiling
+does not take the lock; ``processes`` workers trace independently).
 """
 
 from __future__ import annotations

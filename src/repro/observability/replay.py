@@ -15,6 +15,7 @@ is precisely the point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from repro.mapreduce.counters import Counters
@@ -197,14 +198,23 @@ class RunReplay:
         return totals
 
     def total_simulated_seconds(self) -> float:
-        """Simulated seconds the journal accounts for (see above)."""
-        total = left_fold_seconds(
-            float(restore.attrs.get("simulated_seconds") or 0.0)
-            for restore in self.restored_baselines()
-        )
-        return total + left_fold_seconds(
-            float(job.get("simulated_seconds") or 0.0)
-            for job in self.successful_jobs()
+        """Simulated seconds the journal accounts for (see above).
+
+        One left fold over the restored baselines, then the successful
+        jobs: the order a resumed driver accumulates its totals in, so
+        the result matches the live total bit for bit.
+        """
+        return left_fold_seconds(
+            itertools.chain(
+                (
+                    float(restore.attrs.get("simulated_seconds") or 0.0)
+                    for restore in self.restored_baselines()
+                ),
+                (
+                    float(job.get("simulated_seconds") or 0.0)
+                    for job in self.successful_jobs()
+                ),
+            )
         )
 
 

@@ -5,10 +5,12 @@ A journal records every successful job's per-task simulated durations,
 per-phase timings, live slot capacity and counters. That is enough to
 *deterministically* re-run the scheduling decision — not the
 clustering math — under a changed configuration: different slot
-counts, a wider or narrower shuffle fabric, the combiner turned off, a
-different split granularity, or pure-LPT placement instead of the
-recorded (possibly locality-aware) schedule. ``repro whatif JOURNAL
---set num_workers=8`` prints the predicted makespan delta; the
+counts, a wider or narrower shuffle fabric, the combiner turned off,
+or pure-LPT placement instead of the recorded (possibly
+locality-aware) schedule. ``repro whatif JOURNAL --set num_workers=8``
+prints the predicted makespan delta; comma lists
+(``--set nodes=2,4,8 --set combiner=on,off``) span a grid whose
+scenarios are ranked by predicted makespan. The
 :mod:`benchmarks.bench_whatif_accuracy` bench validates predictions
 against real re-runs.
 
@@ -31,25 +33,33 @@ Prediction model (per successful job)
   task's non-startup time scales accordingly. Jobs without combine
   counters are unaffected. (``combiner=on`` over a journal recorded
   without a combiner has nothing to infer from and predicts no change.)
-* **split_factor F** — map work is re-binned into ``round(F × tasks)``
-  balanced tasks of ``startup + work/count`` seconds each (skew within
-  a phase is not preserved across re-binning; the bench bounds the
-  resulting error).
 * **reduce task count** — when a job's recorded reduce-task count
   followed cluster capacity (one task per slot, the runtime's default)
-  the re-bin follows the scenario's capacity too; explicitly-sized
-  jobs keep their count.
+  the re-bin follows the scenario's capacity too, into balanced tasks
+  of ``startup + work/count`` seconds; explicitly-sized jobs keep
+  their count.
+
+The per-task startup cost that splits a task into startup and work is
+read per job from the journalled ``timing`` dict; journals recorded
+before it was journalled fall back to the
+:class:`~repro.mapreduce.costmodel.CostParameters` default.
+
+Split granularity is deliberately not a scenario: it changes the
+sample each mapper-side test sees, and with it the G-means job chain,
+which no re-schedule of one journal can know. ``repro ablate`` measures
+it by real re-runs instead.
 
 Scenario keys accepted by ``--set``: ``nodes``, ``num_workers`` (total
 slots per phase), ``map_slots``, ``reduce_slots``, ``combiner``
-(on/off), ``split_factor``, ``scheduler`` (``lpt``/``recorded``).
+(on/off), ``scheduler`` (``lpt``/``recorded``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, field
 
-from repro.mapreduce.costmodel import makespan
+from repro.mapreduce.costmodel import CostParameters, makespan
 from repro.mapreduce.counters import FRAMEWORK_GROUP, MRCounter
 from repro.observability.replay import RunReplay, SpanNode, left_fold_seconds
 
@@ -62,11 +72,14 @@ SCENARIO_KEYS = (
     "map_slots",
     "reduce_slots",
     "combiner",
-    "split_factor",
     "scheduler",
 )
 
 SCHEDULERS = ("recorded", "lpt")
+
+#: Task startup assumed for jobs whose journalled timing predates the
+#: ``task_startup_seconds`` key.
+DEFAULT_TASK_STARTUP_SECONDS = CostParameters().task_startup_seconds
 
 
 class ScenarioError(ValueError):
@@ -82,7 +95,6 @@ class Scenario:
     map_slots: "int | None" = None
     reduce_slots: "int | None" = None
     combiner: "bool | None" = None
-    split_factor: "float | None" = None
     scheduler: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -90,10 +102,6 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ScenarioError(f"{name} must be >= 1, got {value}")
-        if self.split_factor is not None and self.split_factor <= 0:
-            raise ScenarioError(
-                f"split_factor must be > 0, got {self.split_factor}"
-            )
         if self.scheduler is not None and self.scheduler not in SCHEDULERS:
             raise ScenarioError(
                 f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
@@ -134,11 +142,6 @@ def parse_scenario(assignments: "list[str]") -> Scenario:
                 values[key] = int(raw)
             except ValueError as exc:
                 raise ScenarioError(f"{key} expects an integer: {raw!r}") from exc
-        elif key == "split_factor":
-            try:
-                values[key] = float(raw)
-            except ValueError as exc:
-                raise ScenarioError(f"{key} expects a number: {raw!r}") from exc
         elif key == "combiner":
             lowered = raw.lower()
             if lowered in ("on", "true", "1", "yes"):
@@ -150,6 +153,21 @@ def parse_scenario(assignments: "list[str]") -> Scenario:
         else:
             values[key] = raw
     return Scenario(**values)
+
+
+def parse_grid(assignments: "list[str]") -> "list[Scenario]":
+    """Parse ``--set key=value[,value...]`` strings into the grid of
+    scenarios they span: the cartesian product of every comma list, in
+    ``--set`` order with the last key varying fastest. Without comma
+    lists the grid is the single :func:`parse_scenario` scenario."""
+    axes = []
+    for assignment in assignments:
+        key, sep, raw = assignment.partition("=")
+        if not sep:
+            axes.append([assignment])  # parse_scenario rejects it
+        else:
+            axes.append([f"{key}={value}" for value in raw.split(",")])
+    return [parse_scenario(list(combo)) for combo in itertools.product(*axes)]
 
 
 PHASE_ORDER = ("startup", "map", "shuffle", "reduce", "overhead")
@@ -310,12 +328,13 @@ def _predict_phase(
     return predicted
 
 
-def _predict_job(
-    job: SpanNode, scenario: Scenario, task_startup: float
-) -> "JobPrediction | None":
+def _predict_job(job: SpanNode, scenario: Scenario) -> "JobPrediction | None":
     timing = job.get("timing") or {}
     if not timing:
         return None
+    task_startup = float(
+        timing.get("task_startup_seconds", DEFAULT_TASK_STARTUP_SECONDS)
+    )
     sim = float(job.get("simulated_seconds") or 0.0)
     recorded = {
         "startup": float(timing.get("startup_seconds") or 0.0),
@@ -333,17 +352,8 @@ def _predict_job(
     new_map_slots = _scaled_slots(
         map_slots, scenario.map_slots, scenario, recorded_nodes
     )
-    map_rebin = None
-    if scenario.split_factor is not None and map_sims:
-        map_rebin = max(1, int(round(len(map_sims) * scenario.split_factor)))
     predicted_map = _predict_phase(
-        map_sims,
-        recorded["map"],
-        map_slots,
-        new_map_slots,
-        scenario,
-        task_startup,
-        rebin_count=map_rebin,
+        map_sims, recorded["map"], map_slots, new_map_slots, scenario, task_startup
     )
 
     reduce_phase, reduce_sims = _phase_tasks(job, "reduce")
@@ -387,19 +397,11 @@ def _predict_job(
     )
 
 
-def whatif_replay(
-    replay: RunReplay,
-    scenario: Scenario,
-    task_startup_seconds: float = 1.0,
-) -> WhatIfReport:
+def whatif_replay(replay: RunReplay, scenario: Scenario) -> WhatIfReport:
     """Re-schedule every successful job of ``replay`` under ``scenario``.
 
-    ``task_startup_seconds`` must match the run's
-    :class:`~repro.mapreduce.costmodel.CostParameters` (default
-    matches the defaults) — it is only used to split task durations
-    into startup and work for re-binning. An empty scenario predicts
-    exactly the recorded totals (the identity check the test suite
-    pins).
+    An empty scenario predicts exactly the recorded totals (the
+    identity check the test suite pins).
     """
     # Same left fold as RunReplay.total_simulated_seconds, so an
     # identity scenario's recorded total matches the journalled
@@ -414,7 +416,7 @@ def whatif_replay(
     as_recorded_jobs = 0
     as_recorded_seconds = 0.0
     for span in replay.successful_jobs():
-        prediction = _predict_job(span, scenario, task_startup_seconds)
+        prediction = _predict_job(span, scenario)
         if prediction is None:
             # No per-phase timing journalled: nothing to re-schedule,
             # but the job's clock-charged seconds still belong to the
@@ -490,5 +492,24 @@ def render_whatif(report: WhatIfReport, limit: int = 12) -> str:
             f"{report.as_recorded_jobs} job(s) recorded without timing "
             f"carried as-recorded ({report.as_recorded_seconds:.2f}s, "
             "not re-scheduled)"
+        )
+    return "\n".join(lines)
+
+
+def render_whatif_grid(ranked: "list[WhatIfReport]") -> str:
+    """Terminal table of a scenario grid, already ranked by predicted
+    makespan."""
+    lines = [
+        f"recorded makespan: {ranked[0].recorded_total:.3f}s",
+        f"{len(ranked)} scenarios ranked by predicted makespan:",
+        "",
+        "  rank  predicted    delta  scenario",
+    ]
+    for rank, report in enumerate(ranked, start=1):
+        frac = report.delta_fraction
+        frac_text = f"{frac * 100:+.1f}%" if frac is not None else "-"
+        lines.append(
+            f"  {rank:4d}  {report.predicted_total:8.3f}s  {frac_text:>7}"
+            f"  {report.scenario.describe()}"
         )
     return "\n".join(lines)

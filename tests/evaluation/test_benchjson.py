@@ -85,9 +85,7 @@ def test_load_rejects_non_object_sections(tmp_path):
         load_bench_json(path)
 
 
-@pytest.mark.parametrize(
-    "name", ["BENCH_executors.json", "BENCH_observability.json"]
-)
+@pytest.mark.parametrize("name", ["BENCH_observability.json"])
 def test_committed_bench_files_conform(name):
     """The archived measurements at the repo root follow the schema."""
     entry = load_bench_json(REPO_ROOT / name)

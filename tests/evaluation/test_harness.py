@@ -44,3 +44,23 @@ def test_build_world_custom_cost():
     custom = CostParameters(task_startup_seconds=9.0)
     world = build_world(mixture, cost=custom)
     assert world.runtime.cost_model.params.task_startup_seconds == 9.0
+
+
+def test_build_world_backend_override_keeps_env_retry_settings(monkeypatch):
+    from repro.mapreduce.executors import (
+        MAX_JOB_RETRIES_ENV,
+        NUM_WORKERS_ENV,
+        RETRY_BACKOFF_ENV,
+    )
+
+    monkeypatch.setenv(MAX_JOB_RETRIES_ENV, "3")
+    monkeypatch.setenv(RETRY_BACKOFF_ENV, "7.5")
+    monkeypatch.setenv(NUM_WORKERS_ENV, "2")
+    mixture = generate_gaussian_mixture(100, 2, 2, rng=0)
+    for overrides in ({}, {"executor": "serial"}, {"data_plane": "pickled"}):
+        config = build_world(mixture, **overrides).runtime.config
+        assert config.max_job_retries == 3, overrides
+        assert config.retry_backoff_seconds == 7.5, overrides
+    overridden = build_world(mixture, executor="serial", num_workers=1)
+    assert overridden.runtime.config.executor == "serial"
+    assert overridden.runtime.config.num_workers == 1

@@ -1,4 +1,4 @@
-"""The ablation/tune engines ride the determinism contract.
+"""The ablation engine rides the determinism contract.
 
 An importance report contains only simulated, replay-accounted fields,
 so the same seeded grid must serialize byte-identically no matter which
@@ -14,9 +14,8 @@ from repro.observability.ablate import (
     run_ablation,
     write_importance,
 )
-from repro.observability.tune import default_tune_spec, run_tune
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 SPEC = WorkloadSpec(n_points=500)
 
@@ -38,27 +37,12 @@ def test_ablation_report_byte_identical_across_backends(
         assert grid_bytes(tmp_path, backend, monkeypatch) == reference, backend
 
 
-def test_tune_report_identical_across_backends(monkeypatch):
-    spec = default_tune_spec(n_points=1200)
-    results = {}
-    for backend in ("serial", "threads"):
-        monkeypatch.setenv("REPRO_EXECUTOR", backend)
-        report = run_tune(spec, top_n=2)
-        results[backend] = json.dumps(report.as_dict(), sort_keys=True)
-    assert results["serial"] == results["threads"]
-    assert json.loads(results["serial"])["ok"]
-
-
 def test_full_grid_infrastructure_rows_confirm_invariance():
     """The committed-report shape of the contract: every infrastructure
     flip in a full grid reports invariant_ok with all-zero deltas."""
     report = run_ablation(SPEC)
     infra = [v for v in report.variants if v.simulated_invariant]
-    assert {v.component for v in infra} == {
-        "executor",
-        "dispatch",
-        "data_plane",
-    }
+    assert {v.component for v in infra} == {"executor", "data_plane"}
     for v in infra:
         assert v.invariant_ok, v.component
         assert v.delta_makespan == 0.0

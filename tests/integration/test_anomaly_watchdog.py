@@ -142,7 +142,6 @@ def test_armed_chaos_journal_is_canonical_across_backends_and_planes():
     journals = {}
     for backend, plane in [
         ("serial", "pickled"),
-        ("threads", "pickled"),
         ("processes", "pickled"),
         ("processes", "shared"),
     ]:

@@ -32,7 +32,7 @@ from repro.observability.journal import (
 from repro.observability.live import TelemetrySink
 from repro.observability.slo import SLOWatchdog, parse_slo_rules
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 PLANES = ("pickled", "shared")
 MATRIX = [(b, p) for b in BACKENDS for p in PLANES]
 SEEDS = (1, 7, 23)

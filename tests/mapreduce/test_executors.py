@@ -1,4 +1,4 @@
-"""Executor backends: byte-identical results across serial/threads/processes."""
+"""Executor backends: byte-identical results across serial/processes."""
 
 import os
 import pickle
@@ -17,13 +17,15 @@ from repro.mapreduce.executors import (
     RuntimeConfig,
     SerialExecutor,
     TaskExecutor,
-    ThreadPoolTaskExecutor,
     create_executor,
 )
 from repro.mapreduce.faults import FaultModel
 from repro.mapreduce.hdfs import InMemoryDFS
 from repro.mapreduce.job import Job, Mapper, Reducer
 from repro.mapreduce.runtime import MapReduceRuntime
+
+#: The worker-pool backends, each checked against ``serial``.
+POOL_BACKENDS = ("processes",)
 
 
 def _norm(value):
@@ -66,7 +68,6 @@ def run_kmeans(
     backend: str,
     faults: "FaultModel | None" = None,
     seed=123,
-    dispatch="wave",
     data_plane=None,
 ):
     from repro.data.loader import write_points
@@ -83,9 +84,7 @@ def run_kmeans(
         cluster=ClusterConfig(nodes=2),
         rng=seed,
         faults=faults,
-        config=RuntimeConfig(
-            executor=backend, num_workers=4, dispatch=dispatch
-        ),
+        config=RuntimeConfig(executor=backend, num_workers=4),
     )
     centers = points[:4].copy()
     job = make_kmeans_job(centers, num_reduce_tasks=4)
@@ -94,7 +93,7 @@ def run_kmeans(
     return result
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", POOL_BACKENDS)
 def test_kmeans_byte_identical_to_serial(backend):
     serial, centers = run_kmeans("serial")
     other, _ = run_kmeans(backend)
@@ -105,28 +104,16 @@ def test_kmeans_byte_identical_to_serial(backend):
     assert ours.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_wave_and_task_dispatch_byte_identical(backend):
-    """Batched per-worker wave dispatch is a pure scheduling change:
-    the strided stripes must reassemble into the exact task order."""
+@pytest.mark.parametrize("backend", POOL_BACKENDS)
+def test_shared_plane_byte_identical(backend):
+    """Zero-copy splits under wave dispatch still match serial: the
+    strided stripes reassemble into the exact task order."""
     serial, _ = run_kmeans("serial")
-    for dispatch in ("wave", "task"):
-        other, _ = run_kmeans(backend, dispatch=dispatch)
-        assert fingerprint(other) == fingerprint(serial), dispatch
+    other, _ = run_kmeans(backend, data_plane="shared")
+    assert fingerprint(other) == fingerprint(serial)
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
-def test_shared_plane_byte_identical_across_dispatch(backend):
-    """Zero-copy splits × both dispatch modes still match serial."""
-    serial, _ = run_kmeans("serial")
-    for dispatch in ("wave", "task"):
-        other, _ = run_kmeans(
-            backend, dispatch=dispatch, data_plane="shared"
-        )
-        assert fingerprint(other) == fingerprint(serial), dispatch
-
-
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", POOL_BACKENDS)
 def test_kmeans_byte_identical_under_faults(backend):
     faults = FaultModel(
         task_failure_probability=0.3,
@@ -163,7 +150,7 @@ def run_seeded(backend: str, seed=7):
     return runtime.run(job, f)
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", POOL_BACKENDS)
 def test_per_task_rng_independent_of_schedule(backend):
     assert fingerprint(run_seeded(backend)) == fingerprint(run_seeded("serial"))
 
@@ -208,8 +195,9 @@ def test_runtime_config_defaults():
 
 
 def test_runtime_config_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError):
-        RuntimeConfig(executor="gpu")
+    for retired_or_unknown in ("gpu", "threads"):
+        with pytest.raises(ConfigurationError):
+            RuntimeConfig(executor=retired_or_unknown)
 
 
 def test_runtime_config_rejects_bad_worker_count():
@@ -218,38 +206,28 @@ def test_runtime_config_rejects_bad_worker_count():
 
 
 def test_runtime_config_from_env():
-    env = {EXECUTOR_ENV: "threads", NUM_WORKERS_ENV: "5"}
+    env = {EXECUTOR_ENV: "processes", NUM_WORKERS_ENV: "5"}
     config = RuntimeConfig.from_env(env)
-    assert config == RuntimeConfig(executor="threads", num_workers=5)
+    assert config == RuntimeConfig(executor="processes", num_workers=5)
     assert RuntimeConfig.from_env({}) == RuntimeConfig()
     with pytest.raises(ConfigurationError):
         RuntimeConfig.from_env({NUM_WORKERS_ENV: "four"})
 
 
-def test_runtime_config_dispatch_and_data_plane(monkeypatch):
-    from repro.mapreduce.executors import DATA_PLANE_ENV, DISPATCH_ENV
+def test_runtime_config_data_plane(monkeypatch):
+    from repro.mapreduce.executors import DATA_PLANE_ENV
 
     monkeypatch.delenv(DATA_PLANE_ENV, raising=False)
-    assert RuntimeConfig().dispatch == "wave"
     assert RuntimeConfig().data_plane is None
     assert RuntimeConfig().effective_data_plane == "pickled"
-    config = RuntimeConfig.from_env(
-        {DISPATCH_ENV: "task", DATA_PLANE_ENV: "shared"}
-    )
-    assert config.dispatch == "task"
+    config = RuntimeConfig.from_env({DATA_PLANE_ENV: "shared"})
     assert config.data_plane == "shared"
-    with pytest.raises(ConfigurationError):
-        RuntimeConfig(dispatch="bulk")
     with pytest.raises(ConfigurationError):
         RuntimeConfig(data_plane="mmap")
 
 
 def test_create_executor_kinds():
     assert isinstance(create_executor(RuntimeConfig()), SerialExecutor)
-    assert isinstance(
-        create_executor(RuntimeConfig(executor="threads")),
-        ThreadPoolTaskExecutor,
-    )
     assert isinstance(
         create_executor(RuntimeConfig(executor="processes")),
         ProcessPoolTaskExecutor,
@@ -262,15 +240,15 @@ def test_create_executor_kinds():
 
 def test_runtime_accepts_backend_name_string():
     dfs = InMemoryDFS(split_size_bytes=16)
-    with MapReduceRuntime(dfs, config="threads") as runtime:
-        assert runtime.executor.name == "threads"
+    with MapReduceRuntime(dfs, config="processes") as runtime:
+        assert runtime.executor.name == "processes"
 
 
 def test_runtime_reads_environment(monkeypatch):
-    monkeypatch.setenv(EXECUTOR_ENV, "threads")
+    monkeypatch.setenv(EXECUTOR_ENV, "processes")
     monkeypatch.setenv(NUM_WORKERS_ENV, "2")
     runtime = MapReduceRuntime(InMemoryDFS(split_size_bytes=16))
-    assert runtime.executor.name == "threads"
+    assert runtime.executor.name == "processes"
     assert runtime.executor.num_workers == 2
 
 

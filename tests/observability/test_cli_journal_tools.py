@@ -261,7 +261,56 @@ def test_diff_unreadable_journal_exits_two(journal_path, capsys):
     assert main(["diff", journal_path, "nope.jsonl"]) == 2
 
 
-# -- repro ablate / repro tune -------------------------------------------
+# -- repro whatif ---------------------------------------------------------
+
+
+def test_journal_records_task_startup_for_whatif(journal_path):
+    from repro.evaluation.harness import BENCH_COST
+    from repro.observability import load_journal
+
+    timings = [
+        record["attrs"]["timing"]
+        for record in load_journal(journal_path)
+        if record.get("type") == "span_end" and "timing" in record["attrs"]
+    ]
+    assert timings
+    assert {t["task_startup_seconds"] for t in timings} == {
+        BENCH_COST.task_startup_seconds
+    }
+
+
+def test_whatif_cli_single_scenario_prints_the_report(journal_path, capsys):
+    assert main(["whatif", journal_path, "--set", "nodes=1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("scenario: nodes=1\nrecorded makespan:")
+    assert "per-phase totals (recorded -> predicted):" in out
+    assert main(["whatif", journal_path, "--set", "nodes=1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["scenario"]["nodes"] == 1
+
+
+def test_whatif_cli_grid_ranks_by_predicted_makespan(journal_path, capsys):
+    grid = ["--set", "nodes=1,2,4", "--set", "combiner=on,off"]
+    assert main(["whatif", journal_path, *grid, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload) == 6
+    predicted = [entry["predicted_total"] for entry in payload]
+    assert predicted == sorted(predicted)
+    assert main(["whatif", journal_path, *grid]) == 0
+    out = capsys.readouterr().out
+    assert "6 scenarios ranked by predicted makespan" in out
+    rows = out.splitlines()[4:]
+    assert [float(row.split()[1].rstrip("s")) for row in rows] == [
+        round(p, 3) for p in predicted
+    ]
+
+
+def test_whatif_cli_bad_set_exits_two(journal_path, capsys):
+    assert main(["whatif", journal_path, "--set", "nodes=2,many"]) == 2
+    assert "bad --set" in capsys.readouterr().err
+
+
+# -- repro ablate -----------------------------------------------------------
 
 
 def test_ablate_cli_list_components(capsys):
@@ -318,34 +367,3 @@ def test_ablate_cli_unknown_component_exits_two(tmp_path, capsys):
 def test_ablate_cli_check_without_report_exits_two(tmp_path, capsys):
     assert main(["ablate", "--check", "--out-dir", str(tmp_path)]) == 2
     assert "cannot load importance report" in capsys.readouterr().err
-
-
-def test_tune_cli_writes_config_and_check_verifies(tmp_path, capsys):
-    out_dir = str(tmp_path / "reports")
-    assert (
-        main(
-            [
-                "tune",
-                "--points", "1200",
-                "--top", "2",
-                "--out-dir", out_dir,
-                "--bench-json", f"{out_dir}/BENCH_cli.json",
-            ]
-        )
-        == 0
-    )
-    captured = capsys.readouterr()
-    assert "# Autotune report" in captured.out
-    best = json.load(open(f"{out_dir}/best-config.json", encoding="utf-8"))
-    assert best["within_budget"] is True
-    bench = json.load(open(f"{out_dir}/BENCH_cli.json", encoding="utf-8"))
-    assert bench["benchmark"] == "autotune"
-    assert bench["metrics"]["within_budget"] is True
-
-    assert main(["tune", "--check", "--out-dir", out_dir]) == 0
-    assert "reconcile exactly" in capsys.readouterr().out
-
-
-def test_tune_cli_check_without_report_exits_two(tmp_path, capsys):
-    assert main(["tune", "--check", "--out-dir", str(tmp_path)]) == 2
-    assert "cannot load tune report" in capsys.readouterr().err

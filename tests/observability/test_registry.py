@@ -122,7 +122,7 @@ def _ablation_fixture() -> dict:
             },
             {
                 "component": "executor",
-                "label": "threads",
+                "label": "processes",
                 "delta_makespan": 0.0,
                 "delta_fraction": 0.0,
                 "simulated_invariant": True,
@@ -132,59 +132,37 @@ def _ablation_fixture() -> dict:
     }
 
 
-def _tune_fixture() -> dict:
-    return {
-        "ok": True,
-        "budget": 0.02,
-        "predictions": [{}] * 18,
-        "validated": [{}] * 3,
-        "improvement_fraction": 0.01,
-        "winner": {
-            "candidate": {"nodes": 8, "combiner": True, "split_factor": 1.0},
-            "actual_seconds": 3.5,
-            "rel_error": 0.001,
-        },
-    }
-
-
 def test_dashboard_without_reports_has_no_ablation_section(rundir):
-    assert "## Ablations & tuning" not in render_dashboard(scan_registry(rundir))
+    assert "## Ablations" not in render_dashboard(scan_registry(rundir))
 
 
-def test_dashboard_renders_ablation_and_tune_reports(rundir):
-    text = render_dashboard(
-        scan_registry(rundir),
-        ablation=_ablation_fixture(),
-        tune=_tune_fixture(),
-    )
-    assert "## Ablations & tuning" in text
+def test_dashboard_renders_ablation_report(rundir):
+    text = render_dashboard(scan_registry(rundir), ablation=_ablation_fixture())
+    assert "## Ablations" in text
     assert "| 1 | combiner=off | +0.500 | +2.0% | - |" in text
-    assert "| 2 | executor=threads | +0.000 | +0.0% | ok |" in text
-    assert "winner: nodes=8, combiner=on, split_factor=1.0" in text
-    assert "prediction error 0.0010 against the 0.02 budget (within)" in text
+    assert "| 2 | executor=processes | +0.000 | +0.0% | ok |" in text
 
 
 def test_write_report_picks_up_reports_in_out_dir(rundir, tmp_path):
     out = tmp_path / "reports"
     out.mkdir()
     (out / "ablation.json").write_text(json.dumps(_ablation_fixture()))
-    (out / "tune.json").write_text(json.dumps(_tune_fixture()))
     (out / "unparseable.json").write_text("{nope")
     written = write_report(rundir, out_dir=str(out))
     markdown = open(written["markdown"], encoding="utf-8").read()
-    assert "## Ablations & tuning" in markdown
+    assert "## Ablations" in markdown
     assert "combiner=off" in markdown
-    assert "## Ablations &amp; tuning" in open(written["html"]).read()
+    assert "## Ablations" in open(written["html"]).read()
 
 
 def test_write_report_tolerates_corrupt_reports(rundir, tmp_path):
     out = tmp_path / "reports"
     out.mkdir()
-    (out / "ablation.json").write_text("{not json")
-    (out / "tune.json").write_text(json.dumps(["not", "a", "dict"]))
-    written = write_report(rundir, out_dir=str(out))
-    markdown = open(written["markdown"], encoding="utf-8").read()
-    assert "## Ablations & tuning" not in markdown
+    for corrupt in ("{not json", json.dumps(["not", "a", "dict"])):
+        (out / "ablation.json").write_text(corrupt)
+        written = write_report(rundir, out_dir=str(out))
+        markdown = open(written["markdown"], encoding="utf-8").read()
+        assert "## Ablations" not in markdown
 
 
 def test_scan_rejects_bad_directories(tmp_path):

@@ -101,6 +101,37 @@ def test_restored_baseline_counts_into_totals():
     assert replay.total_counters().get("framework", "MAP_TASKS") == 14
 
 
+def test_restored_baseline_folds_in_the_resumed_drivers_order():
+    """A resumed driver starts its running total at the restored
+    baseline and adds each job to it: (0.1 + 0.2) + 0.3, which differs
+    in the last bit from 0.1 + (0.2 + 0.3). The journal accounting and
+    the critical path must fold the same way."""
+    from repro.observability.critical import critical_path
+
+    sink = InMemoryJournalSink()
+    journal = Journal(sink)
+    journal.event(
+        "checkpoint_restore",
+        name="ck/iter-00001",
+        iteration=1,
+        jobs=1,
+        simulated_seconds=0.1,
+        counters={},
+    )
+    for name, seconds in (("J1", 0.2), ("J2", 0.3)):
+        with journal.span("job", name, attempt=1) as job:
+            job.set(status="ok", simulated_seconds=seconds, counters={})
+    replay = replay_records(sink.records)
+    live_total = 0.1
+    live_total += 0.2
+    live_total += 0.3
+    assert live_total != 0.1 + (0.2 + 0.3)
+    assert replay.total_simulated_seconds() == live_total
+    path = critical_path(replay)
+    assert path.total_seconds == path.journal_seconds == live_total
+    assert path.reconciled
+
+
 def test_total_simulated_seconds_is_a_plain_left_fold():
     """Regression: CPython 3.12+ builtin sum() uses Neumaier
     compensated summation, which differs bitwise from the runtime's

@@ -9,8 +9,10 @@ from repro.observability.replay import replay_records
 from repro.observability.whatif import (
     Scenario,
     ScenarioError,
+    parse_grid,
     parse_scenario,
     render_whatif,
+    render_whatif_grid,
     whatif_replay,
 )
 
@@ -20,13 +22,24 @@ def recorded_run(
     reduce_sims=(1.0, 1.0),
     restore=0.0,
     combiner_optional=True,
+    task_startup=None,
 ):
     """One successful job with hand-checkable LPT numbers.
 
     Map: tasks [2, 2, 1, 1] on 2 slots (LPT makespan 3.0); reduce:
     capacity-following (len(tasks) == slots == 2); combiner counters
-    record a 10x growth if switched off; recorded on 4 nodes.
+    record a 10x growth if switched off; recorded on 4 nodes. Without
+    ``task_startup`` the timing predates the journalled task startup,
+    so the model assumes the 1.0s cost-model default.
     """
+    timing = {
+        "startup_seconds": 5.0,
+        "map_seconds": map_seconds,
+        "shuffle_seconds": 1.0,
+        "reduce_seconds": max(reduce_sims),
+    }
+    if task_startup is not None:
+        timing["task_startup_seconds"] = task_startup
     sink = InMemoryJournalSink()
     journal = Journal(sink)
     with journal.span("run", "gmeans") as run:
@@ -60,12 +73,7 @@ def recorded_run(
                     status="ok",
                     simulated_seconds=sim_total,
                     nodes=4,
-                    timing={
-                        "startup_seconds": 5.0,
-                        "map_seconds": map_seconds,
-                        "shuffle_seconds": 1.0,
-                        "reduce_seconds": reduce_seconds,
-                    },
+                    timing=timing,
                     counters={
                         "framework": {
                             "COMBINE_INPUT_RECORDS": 100,
@@ -127,6 +135,17 @@ def test_combiner_off_scales_reduce_work_above_startup():
     assert phases["reduce"] == (pytest.approx(2.0), pytest.approx(11.0))
 
 
+def test_task_startup_comes_from_the_journal():
+    # The same 2.0s reduce tasks recorded with a 0.5s task startup
+    # carry 1.5s of work each: 0.5 + 1.5*10 = 15.5s.
+    report = whatif_replay(
+        recorded_run(reduce_sims=(2.0, 2.0), task_startup=0.5),
+        Scenario(combiner=False),
+    )
+    phases = report.phase_totals()
+    assert phases["reduce"] == (pytest.approx(2.0), pytest.approx(15.5))
+
+
 def test_combiner_off_skips_jobs_whose_combiner_is_load_bearing():
     # A job journalled without combiner_optional (e.g. one whose
     # combiner changes RNG consumption) keeps its recorded shuffle:
@@ -147,13 +166,6 @@ def test_scheduler_lpt_drops_the_calibration():
     assert keep.phase_totals()["map"] == (pytest.approx(4.0), pytest.approx(4.0))
     lpt = whatif_replay(replay, Scenario(scheduler="lpt"))
     assert lpt.phase_totals()["map"] == (pytest.approx(4.0), pytest.approx(3.0))
-
-
-def test_split_factor_rebins_map_work():
-    # F=2: 4 tasks (work 2.0 above startup) -> 8 balanced tasks of
-    # 1 + 2/8 = 1.25s; on 2 slots that is 4 waves = 5.0s.
-    report = whatif_replay(recorded_run(), Scenario(split_factor=2.0))
-    assert report.phase_totals()["map"][1] == pytest.approx(5.0)
 
 
 def test_restored_baselines_ride_both_totals():
@@ -205,12 +217,9 @@ def test_jobs_without_timing_ride_both_totals():
 
 
 def test_parse_scenario_roundtrip():
-    scenario = parse_scenario(
-        ["num_workers=8", "combiner=off", "split_factor=1.5", "scheduler=lpt"]
-    )
+    scenario = parse_scenario(["num_workers=8", "combiner=off", "scheduler=lpt"])
     assert scenario.num_workers == 8
     assert scenario.combiner is False
-    assert scenario.split_factor == 1.5
     assert scenario.scheduler == "lpt"
     assert not scenario.empty
     assert "num_workers=8" in scenario.describe()
@@ -226,12 +235,42 @@ def test_parse_scenario_roundtrip():
         "combiner=maybe",  # not on/off
         "scheduler=fifo",  # unknown scheduler
         "nodes=0",  # below 1
-        "split_factor=0",  # must be > 0
+        "split_factor=0",  # retired: split granularity moves the job chain
     ],
 )
 def test_parse_scenario_rejects(bad):
     with pytest.raises(ScenarioError):
         parse_scenario([bad])
+
+
+def test_parse_grid_spans_the_cartesian_product():
+    grid = parse_grid(["nodes=2,8", "combiner=on,off", "scheduler=lpt"])
+    assert [(s.nodes, s.combiner) for s in grid] == [
+        (2, True),
+        (2, False),
+        (8, True),
+        (8, False),
+    ]
+    assert all(s.scheduler == "lpt" for s in grid)
+    assert parse_grid(["nodes=2"]) == [parse_scenario(["nodes=2"])]
+    assert parse_grid([]) == [Scenario()]
+    for bad in ("nodes=2,", "combiner=on,maybe", "nodes"):
+        with pytest.raises(ScenarioError):
+            parse_grid([bad])
+
+
+def test_grid_table_lists_scenarios_in_the_given_order():
+    replay = recorded_run()
+    ranked = [
+        whatif_replay(replay, Scenario(nodes=8)),
+        whatif_replay(replay, Scenario(nodes=2)),
+    ]
+    lines = render_whatif_grid(ranked).splitlines()
+    assert lines[0] == "recorded makespan: 10.000s"
+    assert "2 scenarios ranked by predicted makespan" in lines[1]
+    assert lines[4].split()[:3] == ["1", "8.500s", "-15.0%"]
+    assert lines[4].endswith("nodes=8")
+    assert lines[5].endswith("nodes=2")
 
 
 def test_report_is_json_ready_and_renders():
